@@ -55,6 +55,24 @@ let first_stop outcomes =
       if Harness.Engine.truncated o then Some o.stop else None)
     outcomes
 
+(* The exit code of certified verdicts: a rejected violation claim
+   fails certification (2) whatever the other engines said; otherwise
+   a certified violation (1), an inconclusive run (2), or a proof (0). *)
+let certified_exit results =
+  let verdicts = List.map snd results in
+  let any p = List.exists p verdicts in
+  if any (function Harness.Certify.Rejected _ -> true | _ -> false) then begin
+    Format.printf "CERTIFICATION FAILED: a claimed violation did not check out@.";
+    exit_indeterminate
+  end
+  else if any Harness.Certify.certified then exit_violated
+  else if any (function Harness.Certify.Inconclusive -> true | _ -> false) then
+    inconclusive ?stop:(first_stop (List.map fst results)) ()
+  else exit_holds
+
+let metric_unit (o : Harness.Engine.outcome) =
+  match o.kind with Harness.Engine.Symbolic -> "peak nodes" | _ -> "states"
+
 (* Wrap a command body so our own [failwith]s (and unreadable or
    malformed --file arguments) become exit code 2. *)
 let usage_checked f =
@@ -143,12 +161,23 @@ let with_obs opts f =
         trace)
     f
 
-(* One instrumented engine run: telemetry is reset so the summary and
+(* The portfolio's race report, printed as the race ends. *)
+let print_race (r : Harness.Portfolio.report) =
+  Format.printf "portfolio: %s won [%s]%s@."
+    (Harness.Engine.name r.outcome.kind)
+    (String.concat " " (List.map Harness.Engine.name r.raced))
+    (if r.cancelled_losers > 0 then
+       Printf.sprintf ", %d loser(s) cancelled" r.cancelled_losers
+     else "")
+
+(* One instrumented query run: telemetry is reset so the summary and
    the emitted totals cover exactly this run. *)
-let observed_run opts ~net_name ~engine f =
+let observed_run opts (q : Harness.Query.t) =
+  let engine = Harness.Query.engine_name q.engine in
   Gpo_obs.reset ();
-  Gpo_obs.meta "run" [ ("net", Gpo_obs.S net_name); ("engine", Gpo_obs.S engine) ];
-  let outcome : Harness.Engine.outcome = f () in
+  Gpo_obs.meta "run"
+    [ ("net", Gpo_obs.S q.target.Petri.Net.name); ("engine", Gpo_obs.S engine) ];
+  let outcome = Harness.Query.run ~on_race:print_race q in
   Gpo_obs.meta "outcome"
     [
       ("engine", Gpo_obs.S engine);
@@ -162,27 +191,12 @@ let observed_run opts ~net_name ~engine f =
 (* ------------------------------------------------------------------ *)
 (* Net sources                                                         *)
 
+let ok_or_fail = function Ok x -> x | Error msg -> failwith msg
+
 let load_net file builtin size =
   match (file, builtin) with
   | Some path, None -> Petri.Parser.of_file path
-  | None, Some id -> begin
-      match String.lowercase_ascii id with
-      | "fig1" -> Models.Figures.fig1
-      | "fig2" -> Models.Figures.fig2 size
-      | "fig3" -> Models.Figures.fig3
-      | "fig5" -> Models.Figures.fig5
-      | "fig7" -> Models.Figures.fig7
-      | "scheduler" -> Models.Scheduler.make size
-      | "random" -> Models.Random_net.generate size
-      | id -> (
-          match Harness.Experiment.family id with
-          | fam -> fam.make size
-          | exception Not_found ->
-              failwith
-                (Printf.sprintf
-                   "unknown model %S (expected nsdp, asat, over, rw, scheduler, \
-                    random, or a figure)" id))
-    end
+  | None, Some id -> ok_or_fail (Harness.Query.model id size)
   | Some _, Some _ -> failwith "give either --file or --model, not both"
   | None, None -> failwith "a net is required: --file FILE or --model NAME"
 
@@ -226,42 +240,19 @@ let mem_mb_arg =
   in
   Arg.(value & opt (some int) None & info [ "mem-mb" ] ~docv:"MB" ~doc)
 
-(* Run [body ?guard] under a guard armed with the requested budgets;
-   without budgets, no guard is created and the default path is
-   untouched. *)
-let guarded ?deadline_s ?mem_mb body =
-  match (deadline_s, mem_mb) with
-  | None, None -> body None
-  | _ -> Guard.with_guard ?deadline_s ?mem_mb (fun g -> body (Some g))
-
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
 
-let parse_engine = function
-  | "full" -> Ok Harness.Engine.Full
-  | "po" | "spin+po" | "stubborn" -> Ok Harness.Engine.Stubborn
-  | "smv" | "bdd" | "symbolic" -> Ok Harness.Engine.Symbolic
-  | "gpo" -> Ok Harness.Engine.Gpo
-  | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-
 let engine_conv =
   Arg.conv
-    (parse_engine, fun ppf k -> Format.pp_print_string ppf (Harness.Engine.name k))
+    ( (fun s ->
+        Result.map_error (fun msg -> `Msg msg) (Harness.Query.engine_of_string s)),
+      fun ppf e -> Format.pp_print_string ppf (Harness.Query.engine_name e) )
 
-(* Engine selection for the verdict commands: one engine, or the racing
-   portfolio of [Harness.Portfolio]. *)
-type engine_sel = Single of Harness.Engine.kind | Portfolio
-
-let sel_name = function
-  | Single k -> Harness.Engine.name k
-  | Portfolio -> "portfolio"
-
-let engine_sel_conv =
-  let parse = function
-    | "portfolio" -> Ok Portfolio
-    | s -> Result.map (fun k -> Single k) (parse_engine s)
-  in
-  Arg.conv (parse, fun ppf sel -> Format.pp_print_string ppf (sel_name sel))
+(* The engines to run when none is named: the four of Table 1. *)
+let or_all_engines = function
+  | [] -> List.map (fun k -> Harness.Query.Single k) Harness.Engine.all
+  | engines -> engines
 
 let engines_arg =
   let doc =
@@ -269,7 +260,7 @@ let engines_arg =
      separate domains, first conclusive verdict wins).  Repeatable; default \
      all four single engines."
   in
-  Arg.(value & opt_all engine_sel_conv [] & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
+  Arg.(value & opt_all engine_conv [] & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 
 let jobs_arg =
   let doc =
@@ -280,34 +271,6 @@ let jobs_arg =
      each for their own exploration."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let resolve_jobs n = if n <= 0 then Par.Pool.default_jobs () else n
-
-(* Run one selection.  The portfolio races for the verdict itself, so
-   its GPO entrant always uses the hardened (scan) configuration —
-   the paper configuration can miss deadlocks. *)
-let run_sel ~max_states ~witness ~gpo_scan ~reduce ~jobs ?deadline_s ?mem_mb sel
-    net =
-  match sel with
-  | Single kind ->
-      guarded ?deadline_s ?mem_mb (fun guard ->
-          Harness.Engine.run ~max_states ~witness ~gpo_scan ~reduce ~jobs ?guard
-            kind net)
-  | Portfolio ->
-      (* The portfolio arms one guard per entrant, inside each racing
-         domain (Gc alarms are per-domain). *)
-      let r =
-        Harness.Portfolio.run ~max_states ~witness ~gpo_scan:true ~reduce ~jobs
-          ?deadline_s ?mem_mb net
-      in
-      Format.printf "portfolio: %s won [%s]%s@."
-        (Harness.Engine.name r.Harness.Portfolio.outcome.Harness.Engine.kind)
-        (String.concat " " (List.map Harness.Engine.name r.Harness.Portfolio.raced))
-        (if r.Harness.Portfolio.cancelled_losers > 0 then
-           Printf.sprintf ", %d loser(s) cancelled"
-             r.Harness.Portfolio.cancelled_losers
-         else "");
-      r.Harness.Portfolio.outcome
 
 let witness_arg =
   let doc =
@@ -347,31 +310,29 @@ let analyze file builtin size engines max_states jobs witness reduce timeout
   usage_checked @@ fun () ->
   let net = load_net file builtin size in
   Format.printf "%a@." Petri.Net.pp_summary net;
-  let jobs = resolve_jobs jobs in
-  let engines =
-    if engines = [] then List.map (fun k -> Single k) Harness.Engine.all
-    else engines
+  (* The paper configuration (no GPO deviation scan): Table 1 is
+     reproduced from it. *)
+  let q =
+    ok_or_fail
+      (Harness.Query.make ~max_states ~witness ~gpo_scan:false ~reduce ~jobs
+         ?deadline_s:timeout ?mem_mb net)
   in
   if reduce then pp_reduction net;
   with_obs obs @@ fun () ->
   let outcomes =
     List.map
-      (fun sel ->
-        let o =
-          observed_run obs ~net_name:net.Petri.Net.name ~engine:(sel_name sel)
-            (fun () ->
-              run_sel ~max_states ~witness ~gpo_scan:false ~reduce ~jobs
-                ?deadline_s:timeout ?mem_mb sel net)
-        in
+      (fun engine ->
+        let q = { q with engine } in
+        let o = observed_run obs q in
         Format.printf "%a@." Harness.Engine.pp_outcome o;
         (match o.Harness.Engine.witness with
         | Some tr ->
             Format.printf "  witness: %a@." (Petri.Trace.pp net) tr;
             Format.printf "  %a@." (Harness.Certify.pp net)
-              (Harness.Certify.deadlock net o)
+              (Harness.Query.certify q o)
         | None -> ());
         o)
-      engines
+      (or_all_engines engines)
   in
   match Harness.Certify.conclusion outcomes with
   | `Violated -> exit_violated
@@ -397,13 +358,13 @@ let analyze_cmd =
 let trace file builtin size engine max_states jobs reduce timeout mem_mb =
   usage_checked @@ fun () ->
   let net = load_net file builtin size in
-  let jobs = resolve_jobs jobs in
-  if reduce then pp_reduction net;
-  let o =
-    guarded ?deadline_s:timeout ?mem_mb (fun guard ->
-        Harness.Engine.run ~max_states ~witness:true ~gpo_scan:true ~reduce ~jobs
-          ?guard engine net)
+  let q =
+    ok_or_fail
+      (Harness.Query.make ~engine ~max_states ~witness:true ~reduce ~jobs
+         ?deadline_s:timeout ?mem_mb net)
   in
+  if reduce then pp_reduction net;
+  let o = Harness.Query.run ~on_race:print_race q in
   match o.Harness.Engine.witness with
   | Some tr ->
       Format.printf "@[<v>deadlock reached by:@ %a@ @ %a@]@." (Petri.Trace.pp net) tr
@@ -414,26 +375,23 @@ let trace file builtin size engine max_states jobs reduce timeout mem_mb =
         (* An engine claiming a deadlock must produce a witness; treat a
            missing one as an internal failure, not a verdict. *)
         Format.eprintf "julie: %s reported a deadlock without a witness@."
-          (Harness.Engine.name engine);
+          (Harness.Engine.name o.kind);
         exit_indeterminate
       end
       else if Harness.Engine.truncated o then
         inconclusive ~stop:o.Harness.Engine.stop ()
       else begin
         Format.printf "deadlock free (%s engine, %.0f %s)@."
-          (Harness.Engine.name engine)
-          o.Harness.Engine.metric
-          (match engine with
-          | Harness.Engine.Symbolic -> "peak nodes"
-          | _ -> "states");
+          (Harness.Engine.name o.kind) o.metric (metric_unit o);
         exit_holds
       end
 
 let trace_cmd =
   let engine =
-    Arg.(value & opt engine_conv Harness.Engine.Gpo
+    Arg.(value & opt engine_conv (Harness.Query.Single Harness.Engine.Gpo)
          & info [ "e"; "engine" ] ~docv:"ENGINE"
-             ~doc:"Engine reconstructing the witness: full, po, smv or gpo.")
+             ~doc:"Engine reconstructing the witness: full, po, smv, gpo or \
+                   portfolio.")
   in
   let info =
     Cmd.info "trace" ~exits:verdict_exits
@@ -528,56 +486,33 @@ let safety file builtin size cover engine jobs reduce timeout mem_mb obs =
   usage_checked @@ fun () ->
   let net = load_net file builtin size in
   if cover = [] then failwith "--place PLACE (repeatable) is required";
-  let property =
-    {
-      Petri.Safety.name = "prop";
-      never_all = List.map (Petri.Net.place_index net) cover;
-    }
+  let q =
+    ok_or_fail
+      (Harness.Query.make ~cover ~engine ~witness:true ~reduce ~jobs
+         ?deadline_s:timeout ?mem_mb net)
   in
-  let monitored = Petri.Safety.monitor net property in
-  let jobs = resolve_jobs jobs in
   (* The engines see the monitored net, so that is what the reduction
      pipeline shrinks (as a deadlock query — the monitor has already
      turned coverability into deadlock); the lifted witness comes back
      in monitored-net indices and [Certify.safety] projects it. *)
-  if reduce then pp_reduction monitored;
+  if reduce then pp_reduction q.target;
   with_obs obs @@ fun () ->
-  let outcome =
-    (* gpo_scan: the verdict itself is the product here, so the GPO
-       engine must run in its complete (hardened) configuration — the
-       paper configuration can miss covering markings. *)
-    observed_run obs ~net_name:monitored.Petri.Net.name
-      ~engine:(sel_name engine) (fun () ->
-        run_sel ~max_states:5_000_000 ~witness:true ~gpo_scan:true ~reduce ~jobs
-          ?deadline_s:timeout ?mem_mb engine monitored)
-  in
-  if outcome.Harness.Engine.deadlock then begin
-    Format.printf "VIOLATED: {%s} can be marked simultaneously@."
-      (String.concat ", " cover);
-    (* The engine's witness (on the monitored net), projected back to
-       the original net and certified; fall back to a direct search if
-       certification fails. *)
-    (match Harness.Certify.safety net property outcome with
-    | Harness.Certify.Certified { trace; _ } ->
-        Format.printf "scenario (certified): %a@." (Petri.Trace.pp net) trace
-    | _ -> (
-        match Petri.Safety.covering_marking net property with
-        | Some trace -> Format.printf "scenario: %a@." (Petri.Trace.pp net) trace
-        | None -> ()));
-    exit_violated
-  end
-  else if Harness.Engine.truncated outcome then
-    inconclusive ~stop:outcome.Harness.Engine.stop ()
-  else begin
-    Format.printf "holds: {%s} never marked simultaneously (%s engine, %.0f %s)@."
-      (String.concat ", " cover)
-      (Harness.Engine.name outcome.Harness.Engine.kind)
-      outcome.Harness.Engine.metric
-      (match outcome.Harness.Engine.kind with
-      | Harness.Engine.Symbolic -> "peak nodes"
-      | _ -> "states");
-    exit_holds
-  end
+  let outcome = observed_run obs q in
+  let verdict = Harness.Query.certify q outcome in
+  let places = String.concat ", " cover in
+  (match verdict with
+  | Harness.Certify.Certified { trace; _ } ->
+      Format.printf "VIOLATED: {%s} can be marked simultaneously@." places;
+      Format.printf "scenario (certified): %a@." (Petri.Trace.pp net) trace
+  | Harness.Certify.Rejected _ ->
+      Format.printf "%a@." (Harness.Certify.pp net) verdict
+  | Harness.Certify.Clean ->
+      Format.printf "holds: {%s} never marked simultaneously (%s engine, %.0f %s)@."
+        places
+        (Harness.Engine.name outcome.kind)
+        outcome.metric (metric_unit outcome)
+  | Harness.Certify.Inconclusive -> ());
+  certified_exit [ (outcome, verdict) ]
 
 let safety_cmd =
   let cover =
@@ -585,15 +520,16 @@ let safety_cmd =
            ~doc:"Place of the cover to check (repeatable): the property is                  that all given places are never marked at once.")
   in
   let engine =
-    Arg.(value & opt engine_sel_conv (Single Harness.Engine.Gpo)
+    Arg.(value & opt engine_conv (Harness.Query.Single Harness.Engine.Gpo)
            & info [ "e"; "engine" ] ~docv:"ENGINE"
                ~doc:"Engine for the deadlock check (or portfolio).")
   in
   let info =
     Cmd.info "safety" ~exits:verdict_exits
       ~doc:"Check a coverability safety property by reduction to deadlock.  \
-            Exits with 0 when the property holds, 1 when it is violated, 2 \
-            on usage errors."
+            Exits with 0 when the property holds, 1 when a certified \
+            violation is found, 2 on usage errors, inconclusive runs, or a \
+            violation whose witness fails certification."
   in
   Cmd.v info
     Term.(const safety $ file_arg $ model_arg $ size_arg $ cover $ engine
@@ -606,55 +542,23 @@ let certify file builtin size engines max_states jobs cover reduce timeout
     mem_mb obs =
   usage_checked @@ fun () ->
   let net = load_net file builtin size in
-  let jobs = resolve_jobs jobs in
-  let engines =
-    if engines = [] then List.map (fun k -> Single k) Harness.Engine.all
-    else engines
+  let q =
+    ok_or_fail
+      (Harness.Query.make ~cover ~max_states ~witness:true ~reduce ~jobs
+         ?deadline_s:timeout ?mem_mb net)
   in
-  let property =
-    match cover with
-    | [] -> None
-    | places ->
-        Some
-          {
-            Petri.Safety.name = "prop";
-            never_all = List.map (Petri.Net.place_index net) places;
-          }
-  in
-  let target =
-    match property with None -> net | Some p -> Petri.Safety.monitor net p
-  in
-  if reduce then pp_reduction target;
+  if reduce then pp_reduction q.target;
   with_obs obs @@ fun () ->
-  let results =
-    List.map
-      (fun sel ->
-        let o =
-          observed_run obs ~net_name:target.Petri.Net.name
-            ~engine:(sel_name sel) (fun () ->
-              run_sel ~max_states ~witness:true ~gpo_scan:true ~reduce ~jobs
-                ?deadline_s:timeout ?mem_mb sel target)
-        in
-        let v =
-          match property with
-          | None -> Harness.Certify.deadlock net o
-          | Some p -> Harness.Certify.safety net p o
-        in
-        Format.printf "@[<v 2>%-8s %a@]@." (sel_name sel)
-          (Harness.Certify.pp net) v;
-        (o, v))
-      engines
-  in
-  let verdicts = List.map snd results in
-  let any p = List.exists p verdicts in
-  if any (function Harness.Certify.Rejected _ -> true | _ -> false) then begin
-    Format.printf "CERTIFICATION FAILED: a claimed violation did not check out@.";
-    exit_indeterminate
-  end
-  else if any Harness.Certify.certified then exit_violated
-  else if any (function Harness.Certify.Inconclusive -> true | _ -> false) then
-    inconclusive ?stop:(first_stop (List.map fst results)) ()
-  else exit_holds
+  certified_exit
+    (List.map
+       (fun engine ->
+         let q = { q with engine } in
+         let o = observed_run obs q in
+         let v = Harness.Query.certify q o in
+         Format.printf "@[<v 2>%-8s %a@]@." (Harness.Query.engine_name engine)
+           (Harness.Certify.pp net) v;
+         (o, v))
+       (or_all_engines engines))
 
 let certify_cmd =
   let cover =

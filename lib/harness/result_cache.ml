@@ -177,6 +177,17 @@ let decode_record payload =
   in
   Ok (k, net, outcome)
 
+(* The net name is not part of the content address ([Net.digest] skips
+   it), so recovery ignores it.  Journals written before safety
+   monitors got parseable names carry "net NAME+prop" lines, which the
+   parser refuses; dropping the line keeps those entries recoverable. *)
+let without_name_line text =
+  if String.starts_with ~prefix:"net " text then
+    match String.index_opt text '\n' with
+    | Some i -> String.sub text (i + 1) (String.length text - i - 1)
+    | None -> ""
+  else text
+
 (* The recovery gate — the journal invariant is that nothing is ever
    served that would not re-certify from first principles today:
    only [Completed] outcomes, only records whose net text hashes to the
@@ -188,7 +199,7 @@ let admit payload =
       if outcome.Engine.stop <> Guard.Completed then
         Error "record: non-completed outcome"
       else begin
-        match Petri.Parser.parse ~name:"net" net_text with
+        match Petri.Parser.parse ~name:"net" (without_name_line net_text) with
         | Error e ->
             Error (Format.asprintf "record: net: %a" Petri.Parser.pp_error e)
         | Ok net ->

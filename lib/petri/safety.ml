@@ -10,7 +10,8 @@ let monitor (net : Net.t) property =
       if p < 0 || p >= net.n_places then
         invalid_arg "Safety.monitor: unknown place in cover")
     property.never_all;
-  let b = Builder.create (net.name ^ "+" ^ property.name) in
+  (* A name the parser reads back: monitored nets are journaled as text. *)
+  let b = Builder.create (net.name ^ "-" ^ property.name) in
   let places =
     Array.init net.n_places (fun p ->
         Builder.place b

@@ -20,9 +20,9 @@
     follows it.
 
     {b Deduplication.}  Jobs inside one batch are deduped by cache key
-    (net digest + property + engine config): the second occurrence
-    waits for the first instead of recomputing, and its result is
-    flagged [deduped] (counted by [serve.batch.deduped]).
+    ({!Harness.Query.key}: net digest + property + engine config): the
+    second occurrence waits for the first instead of recomputing, and
+    its result is flagged [deduped] (counted by [serve.batch.deduped]).
 
     {b Isolation.}  Each job runs under its own {!Guard} (armed with
     the job's [timeout_s]/[mem_mb] in the worker domain that runs it),

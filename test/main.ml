@@ -24,6 +24,7 @@ let () =
       ("siphon", Test_siphon.suite);
       ("models", Test_models.suite);
       ("harness", Test_harness.suite);
+      ("query", Test_query.suite);
       ("conformance", Test_conformance.suite);
       ("reduce", Test_reduce.suite);
       ("certify", Test_certify.suite);

@@ -101,6 +101,30 @@ let fixtures =
        make_fixture "over-3" (Models.Over.make 3);
      ])
 
+(* A cover query as the service journals it: the engine runs on the
+   safety monitor, and the monitor's text is what the journal stores. *)
+let cover_fixture =
+  lazy
+    (with_sink @@ fun () ->
+     let net = Models.Nsdp.make 2 in
+     let cover = [ "gotL.0"; "gotL.1" ] in
+     let property =
+       {
+         Petri.Safety.name = "prop";
+         never_all = List.map (Petri.Net.place_index net) cover;
+       }
+     in
+     let target = Petri.Safety.monitor net property in
+     let f = make_fixture "nsdp-2 cover" target in
+     {
+       f with
+       key =
+         RC.key
+           ~property:("cover:" ^ String.concat "," cover)
+           ~digest:(Petri.Net.digest target) ~engine:"gpo" ~max_states:200_000
+           ~witness:true ~gpo_scan:true ~reduce:false ();
+     })
+
 let store_fixture (f : fixture) =
   Alcotest.(check bool)
     (f.name ^ " store accepted") true
@@ -392,6 +416,33 @@ let test_compaction_threshold () =
     r.RC.recovered;
   check_served f
 
+let test_cover_entry_recovers () =
+  with_cache_dir @@ fun dir ->
+  let f = Lazy.force cover_fixture in
+  Alcotest.(check bool) "the cover query found its violation" true
+    f.outcome.Harness.Engine.deadlock;
+  ignore (attach_ok dir : RC.recovery);
+  store_fixture f;
+  let r = restart dir in
+  Alcotest.(check int) "the cover entry recovers" 1 r.RC.recovered;
+  Alcotest.(check int) "nothing rejected" 0 r.RC.rejected;
+  check_served f
+
+(* Journals written while the monitored net was named "NET+prop", which
+   the parser refuses: the name is not part of the content address, so
+   those entries recover too. *)
+let test_legacy_cover_name_recovers () =
+  with_cache_dir @@ fun dir ->
+  let f = Lazy.force cover_fixture in
+  let body = String.index f.text '\n' in
+  let legacy =
+    "net nsdp-2+prop" ^ String.sub f.text body (String.length f.text - body)
+  in
+  write_journal dir [ header (); record f ~net:legacy ];
+  let r = restart dir in
+  Alcotest.(check int) "the legacy cover entry recovers" 1 r.RC.recovered;
+  check_served f
+
 let suite =
   [
     Alcotest.test_case "recovery roundtrip is byte-identical" `Quick
@@ -410,4 +461,8 @@ let suite =
       test_fault_probes_contained;
     Alcotest.test_case "compaction threshold bounds the file" `Quick
       test_compaction_threshold;
+    Alcotest.test_case "cover-query entries recover" `Quick
+      test_cover_entry_recovers;
+    Alcotest.test_case "legacy cover-query names recover" `Quick
+      test_legacy_cover_name_recovers;
   ]
